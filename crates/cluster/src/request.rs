@@ -270,7 +270,11 @@ impl Cluster {
         let pi = self.fabric.services[si].server;
         let group = self.fabric.services[si].replicas[replica].group;
         let job = self.fabric.processors[pi].add_job(now, group, demand);
-        self.fabric.proc_jobs[pi].insert(job, inv);
+        let jobs = &mut self.fabric.proc_jobs[pi];
+        if jobs.len() <= job.0 {
+            jobs.resize(job.0 + 1, None);
+        }
+        jobs[job.0] = Some(inv);
         self.reschedule_processor(pi);
     }
 
@@ -296,8 +300,8 @@ impl Cluster {
             match self.fabric.processors[pi].next_completion(now) {
                 Some((t, job)) if t <= now + 1e-12 => {
                     self.fabric.processors[pi].remove_job(now, job);
-                    let inv = self.fabric.proc_jobs[pi]
-                        .remove(&job)
+                    let inv = self.fabric.proc_jobs[pi][job.0]
+                        .take()
                         .expect("job maps to inv");
                     self.demand_done(inv);
                 }

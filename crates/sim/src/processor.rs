@@ -22,6 +22,26 @@
 //! counters. The [`PsProcessor::generation`] counter is bumped whenever the
 //! rate allocation changes, letting simulators detect stale completion
 //! events.
+//!
+//! # Cost
+//!
+//! A discrete-event simulator calls this processor on every event, so
+//! the layout is built for one pass over the *live* jobs per event:
+//!
+//! * live jobs sit in dense parallel arrays (slot, group, remaining work),
+//!   removed by swap-remove, with a slot → position map. Freed slots are
+//!   reused last-in first-out, so [`JobId`]s are small dense integers;
+//! * every job of a group runs at the same rate, so rates are kept per
+//!   group and a reallocation costs O(groups), not O(jobs);
+//! * [`PsProcessor::add_job`] and [`PsProcessor::next_completion`] drain
+//!   the elapsed work and search for the next completion in the same
+//!   pass;
+//! * the last completion search is cached under `(now, generation, last
+//!   update)`, so asking again at the same instant is free.
+//!
+//! Every result is bitwise what a per-job slot-order scan computes: each
+//! job still drains by `remaining - rate·dt` on its own, and equal
+//! completion times resolve to the lowest [`JobId`].
 
 /// Identifier of a group (container) on a processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,6 +50,9 @@ pub struct GroupId(pub usize);
 /// Identifier of a job (in-flight request execution) on a processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub usize);
+
+/// Slot-map entry of a slot with no live job.
+const FREE: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
 struct Group {
@@ -41,12 +64,13 @@ struct Group {
     busy_integral: f64,
 }
 
-#[derive(Debug, Clone)]
-struct Job {
-    group: GroupId,
-    remaining: f64,
-    /// Work-units per second at the current allocation.
-    rate: f64,
+/// A completion search result and the state it was computed in.
+#[derive(Debug, Clone, Copy)]
+struct CachedCompletion {
+    now: u64,
+    generation: u64,
+    last_update: u64,
+    next: Option<(f64, JobId)>,
 }
 
 /// A multi-core processor-sharing CPU. See the [module docs](self).
@@ -55,12 +79,23 @@ pub struct PsProcessor {
     cores: f64,
     speed: f64,
     groups: Vec<Group>,
-    jobs: Vec<Option<Job>>,
+    /// Work-units per second of each job of a group, by group.
+    rate: Vec<f64>,
+    /// `rate` before the latest reallocation (`add_job` drains with it).
+    prev_rate: Vec<f64>,
+    /// Live jobs, dense and unordered: slot, group, remaining work.
+    live_slot: Vec<usize>,
+    live_group: Vec<usize>,
+    live_remaining: Vec<f64>,
+    /// Position of each slot's job in the live arrays, or [`FREE`].
+    position: Vec<usize>,
     free_slots: Vec<usize>,
-    active_count: usize,
     last_update: f64,
     busy_integral: f64,
     generation: u64,
+    /// Scratch for `reallocate`'s water-filling.
+    demands: Vec<(usize, f64)>,
+    cached: Option<CachedCompletion>,
 }
 
 impl PsProcessor {
@@ -83,12 +118,18 @@ impl PsProcessor {
             cores,
             speed,
             groups: Vec::new(),
-            jobs: Vec::new(),
+            rate: Vec::new(),
+            prev_rate: Vec::new(),
+            live_slot: Vec::new(),
+            live_group: Vec::new(),
+            live_remaining: Vec::new(),
+            position: Vec::new(),
             free_slots: Vec::new(),
-            active_count: 0,
             last_update: 0.0,
             busy_integral: 0.0,
             generation: 0,
+            demands: Vec::new(),
+            cached: None,
         }
     }
 
@@ -115,6 +156,8 @@ impl PsProcessor {
             alloc: 0.0,
             busy_integral: 0.0,
         });
+        self.rate.push(0.0);
+        self.prev_rate.push(0.0);
         GroupId(self.groups.len() - 1)
     }
 
@@ -146,26 +189,30 @@ impl PsProcessor {
             work.is_finite() && work >= 0.0,
             "work must be >= 0, got {work}"
         );
-        self.advance(now);
-        let job = Job {
-            group,
-            remaining: work,
-            rate: 0.0,
-        };
-        let id = match self.free_slots.pop() {
-            Some(slot) => {
-                self.jobs[slot] = Some(job);
-                JobId(slot)
-            }
-            None => {
-                self.jobs.push(Some(job));
-                JobId(self.jobs.len() - 1)
-            }
-        };
+        let dt = self.accrue(now);
         self.groups[group.0].active_jobs += 1;
-        self.active_count += 1;
+        std::mem::swap(&mut self.rate, &mut self.prev_rate);
         self.reallocate();
-        id
+        // The jobs already running drain at the old rates; the scan for
+        // the next completion runs at the new ones.
+        let mut next = self.drain_and_scan(now, dt, true);
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                self.position.push(FREE);
+                self.position.len() - 1
+            }
+        };
+        self.position[slot] = self.live_slot.len();
+        self.live_slot.push(slot);
+        self.live_group.push(group.0);
+        self.live_remaining.push(work);
+        let rate = self.rate[group.0];
+        if rate > 0.0 {
+            next = earlier(next, (now + work / rate, JobId(slot)));
+        }
+        self.cache(now, next);
+        JobId(slot)
     }
 
     /// Removes `job` at time `now` (normally on completion) and returns its
@@ -175,41 +222,49 @@ impl PsProcessor {
     ///
     /// Panics if the job does not exist.
     pub fn remove_job(&mut self, now: f64, job: JobId) -> f64 {
+        let at = self.position_of(job);
         self.advance(now);
-        let j = self.jobs[job.0].take().expect("job does not exist");
-        self.groups[j.group.0].active_jobs -= 1;
-        self.active_count -= 1;
+        self.live_slot.swap_remove(at);
+        let group = self.live_group.swap_remove(at);
+        let remaining = self.live_remaining.swap_remove(at);
+        if let Some(&moved) = self.live_slot.get(at) {
+            self.position[moved] = at;
+        }
+        self.position[job.0] = FREE;
         self.free_slots.push(job.0);
+        self.groups[group].active_jobs -= 1;
         self.reallocate();
-        j.remaining
+        remaining
     }
 
     /// Remaining work of `job`, after advancing to `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job does not exist.
     pub fn remaining(&mut self, now: f64, job: JobId) -> f64 {
+        let at = self.position_of(job);
         self.advance(now);
-        self.jobs[job.0]
-            .as_ref()
-            .expect("job does not exist")
-            .remaining
+        self.live_remaining[at]
     }
 
     /// Earliest `(completion_time, job)` among active jobs, evaluated at
-    /// `now`. Returns `None` if no job is running (or all rates are zero,
-    /// e.g. every group cap is 0).
+    /// `now`. Equal completion times resolve to the lowest [`JobId`].
+    /// Returns `None` if no job is running (or all rates are zero, e.g.
+    /// every group cap is 0).
     pub fn next_completion(&mut self, now: f64) -> Option<(f64, JobId)> {
-        self.advance(now);
-        let mut best: Option<(f64, JobId)> = None;
-        for (i, slot) in self.jobs.iter().enumerate() {
-            if let Some(j) = slot {
-                if j.rate > 0.0 {
-                    let t = now + j.remaining / j.rate;
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, JobId(i)));
-                    }
-                }
+        if let Some(c) = self.cached {
+            if c.now == now.to_bits()
+                && c.generation == self.generation
+                && c.last_update == self.last_update.to_bits()
+            {
+                return c.next;
             }
         }
-        best
+        let dt = self.accrue(now);
+        let next = self.drain_and_scan(now, dt, false);
+        self.cache(now, next);
+        next
     }
 
     /// Generation counter: bumped whenever the rate allocation changes.
@@ -220,7 +275,7 @@ impl PsProcessor {
 
     /// Number of active jobs.
     pub fn active_jobs(&self) -> usize {
-        self.active_count
+        self.live_slot.len()
     }
 
     /// Number of active jobs in `group`.
@@ -231,20 +286,12 @@ impl PsProcessor {
     /// Advances virtual time to `now`, draining remaining work at the
     /// current rates. Idempotent for `now <=` the last update time.
     pub fn advance(&mut self, now: f64) {
-        let dt = now - self.last_update;
-        if dt <= 0.0 {
-            return;
+        let dt = self.accrue(now);
+        if dt > 0.0 {
+            for (remaining, &g) in self.live_remaining.iter_mut().zip(&self.live_group) {
+                *remaining = (*remaining - self.rate[g] * dt).max(0.0);
+            }
         }
-        let mut total_alloc = 0.0;
-        for g in &mut self.groups {
-            g.busy_integral += g.alloc * dt;
-            total_alloc += g.alloc;
-        }
-        self.busy_integral += total_alloc * dt;
-        for j in self.jobs.iter_mut().flatten() {
-            j.remaining = (j.remaining - j.rate * dt).max(0.0);
-        }
-        self.last_update = now;
     }
 
     /// ∫ busy-cores dt since construction (core-seconds).
@@ -284,12 +331,82 @@ impl PsProcessor {
         g.busy_integral + g.alloc * dt
     }
 
-    /// Recomputes the water-filling allocation. Called internally after any
-    /// change; bumps the generation counter.
+    /// Position of `job` in the live arrays.
+    fn position_of(&self, job: JobId) -> usize {
+        match self.position.get(job.0) {
+            Some(&at) if at != FREE => at,
+            _ => panic!("job does not exist: {job:?}"),
+        }
+    }
+
+    /// Moves the clock and the busy integrals to `now` and returns the
+    /// elapsed time, which the caller must drain from every live job.
+    /// Returns a non-positive value, and changes nothing, when `now` is
+    /// not past the last update.
+    fn accrue(&mut self, now: f64) -> f64 {
+        let dt = now - self.last_update;
+        if dt <= 0.0 {
+            return dt;
+        }
+        let mut total_alloc = 0.0;
+        for g in &mut self.groups {
+            g.busy_integral += g.alloc * dt;
+            total_alloc += g.alloc;
+        }
+        self.busy_integral += total_alloc * dt;
+        self.last_update = now;
+        dt
+    }
+
+    /// The one pass over the live jobs: drains `dt` of work from each
+    /// (at the previous allocation's rates if `drain_at_prev_rates`, else
+    /// at the current ones; nothing if `dt <= 0`), and returns the earliest
+    /// completion at the current rates.
+    fn drain_and_scan(
+        &mut self,
+        now: f64,
+        dt: f64,
+        drain_at_prev_rates: bool,
+    ) -> Option<(f64, JobId)> {
+        let drain_rate = if drain_at_prev_rates {
+            &self.prev_rate
+        } else {
+            &self.rate
+        };
+        let mut next = None;
+        for ((remaining, &g), &slot) in self
+            .live_remaining
+            .iter_mut()
+            .zip(&self.live_group)
+            .zip(&self.live_slot)
+        {
+            if dt > 0.0 {
+                *remaining = (*remaining - drain_rate[g] * dt).max(0.0);
+            }
+            let rate = self.rate[g];
+            if rate > 0.0 {
+                next = earlier(next, (now + *remaining / rate, JobId(slot)));
+            }
+        }
+        next
+    }
+
+    fn cache(&mut self, now: f64, next: Option<(f64, JobId)>) {
+        self.cached = Some(CachedCompletion {
+            now: now.to_bits(),
+            generation: self.generation,
+            last_update: self.last_update.to_bits(),
+            next,
+        });
+    }
+
+    /// Recomputes the water-filling allocation and the per-group rates.
+    /// Called internally after any change; bumps the generation counter.
     fn reallocate(&mut self) {
         self.generation += 1;
         // Demands in cores: a group can use at most min(cap, jobs) cores.
-        let mut demands: Vec<(usize, f64)> = Vec::new();
+        let mut demands = std::mem::take(&mut self.demands);
+        demands.clear();
         for (i, g) in self.groups.iter_mut().enumerate() {
             g.alloc = 0.0;
             if g.active_jobs > 0 {
@@ -327,15 +444,24 @@ impl PsProcessor {
                 remaining = &remaining[split..];
             }
         }
+        self.demands = demands;
         // Per-job rates: equal split within the group, times speed.
-        for j in self.jobs.iter_mut().flatten() {
-            let g = &self.groups[j.group.0];
-            j.rate = if g.active_jobs > 0 {
+        for (rate, g) in self.rate.iter_mut().zip(&self.groups) {
+            *rate = if g.active_jobs > 0 {
                 g.alloc / g.active_jobs as f64 * self.speed
             } else {
                 0.0
             };
         }
+    }
+}
+
+/// The earlier of a completion and a candidate; equal times resolve to the
+/// lower job id, which is what a strict `<` scan in slot order keeps.
+fn earlier(best: Option<(f64, JobId)>, candidate: (f64, JobId)) -> Option<(f64, JobId)> {
+    match best {
+        Some(b) if b.0 < candidate.0 || (b.0 == candidate.0 && b.1 < candidate.1) => best,
+        _ => Some(candidate),
     }
 }
 
@@ -500,6 +626,51 @@ mod tests {
         // ...but leaves the simulation state untouched.
         assert!((cpu.remaining(0.0, j) - 10.0).abs() < 1e-12);
         assert_eq!(cpu.busy_core_seconds(), 0.0);
+    }
+
+    #[test]
+    fn equal_completion_times_resolve_to_lowest_job_id() {
+        let mut cpu = PsProcessor::new(2.0, 1.0);
+        let g = cpu.add_group(2.0);
+        let jobs: Vec<JobId> = (0..3).map(|_| cpu.add_job(0.0, g, 1.0)).collect();
+        // Free the lowest slot and refill it last: the tie must still go
+        // to the lowest id, not to the first or last job added.
+        cpu.remove_job(0.0, jobs[0]);
+        let refilled = cpu.add_job(0.0, g, 1.0);
+        assert_eq!(refilled, jobs[0]);
+        let (t, first) = cpu.next_completion(0.0).unwrap();
+        assert_eq!(first, jobs[0]);
+        cpu.remove_job(t, first);
+        let (t2, second) = cpu.next_completion(t).unwrap();
+        assert_eq!(second, jobs[1]);
+        assert_eq!(t2.to_bits(), cpu.next_completion(t).unwrap().0.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "job does not exist")]
+    fn double_remove_panics() {
+        let mut cpu = PsProcessor::new(1.0, 1.0);
+        let g = cpu.add_group(1.0);
+        let j = cpu.add_job(0.0, g, 1.0);
+        cpu.add_job(0.0, g, 1.0);
+        cpu.remove_job(0.5, j);
+        cpu.remove_job(0.5, j);
+    }
+
+    #[test]
+    #[should_panic(expected = "job does not exist")]
+    fn removing_a_never_issued_job_panics() {
+        let mut cpu = PsProcessor::new(1.0, 1.0);
+        let g = cpu.add_group(1.0);
+        cpu.add_job(0.0, g, 1.0);
+        cpu.remove_job(0.5, JobId(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "job does not exist")]
+    fn remaining_of_a_never_issued_job_panics() {
+        let mut cpu = PsProcessor::new(1.0, 1.0);
+        cpu.remaining(0.0, JobId(0));
     }
 
     #[test]
