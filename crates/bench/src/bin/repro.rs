@@ -15,7 +15,9 @@
 //! journal, and re-parses every emitted JSONL line through the
 //! `atom-obs` schema — the schema-stability gate CI runs on every
 //! commit. With `--trace-out`/`--metrics-out` the artefacts are also
-//! written to disk.
+//! written to disk. `repro --smoke <command>` runs that command's own
+//! gate instead, for `chaos`, `forecast`, `trace`, `contention`,
+//! `netlat`, `audit` and `scale`.
 
 use atom_bench::eval::{run_one, ScalerKind};
 use atom_bench::figures::{
@@ -187,6 +189,12 @@ fn main() {
                      commands: setup fig2 fig4 table3 fig5 table4 validation fig7 \
                      fig8 fig9 fig10 evaluation fig11 fig12 fig13 ablation chaos forecast \
                      trace contention netlat scale audit all\n\
+                     chaos: ATOM vs UH vs UV under a fault schedule (writes chaos.csv, \
+                     chaos_availability.csv); `chaos --smoke` enforces the wedging, \
+                     no-action, and restored-availability gates\n\
+                     forecast: reactive vs proactive ATOM on ramp, bursty, and diurnal \
+                     workloads (writes forecast.csv); `forecast --smoke` enforces the \
+                     proactive<=reactive, wedging, window-count, and forecast-record gates\n\
                      trace: replay a production arrival trace (--trace-file, --format; \
                      defaults to the bundled fixtures); `trace --smoke` enforces the \
                      journal-schema, wedging, and proactive<=reactive gates\n\
@@ -210,13 +218,17 @@ fn main() {
     }
     atom_obs::log::configure(quiet, verbose);
     if run_smoke {
-        // `scale --smoke` and `trace --smoke` are their own gates; the
-        // bare `--smoke` remains the journal-schema gate.
+        // `--smoke <command>` runs that command's own gate; the bare
+        // `--smoke` remains the journal-schema gate.
         if commands.iter().any(|c| c == "scale") {
             std::fs::create_dir_all(&opts.out_dir).expect("create output dir");
             scale::run(&opts, users, true);
         } else if commands.iter().any(|c| c == "trace") {
             trace_replay::smoke(&opts);
+        } else if commands.iter().any(|c| c == "chaos") {
+            chaos::smoke(&opts);
+        } else if commands.iter().any(|c| c == "forecast") {
+            forecast::smoke(&opts);
         } else if commands.iter().any(|c| c == "contention") {
             std::fs::create_dir_all(&opts.out_dir).expect("create output dir");
             contention::smoke(&opts);

@@ -10,10 +10,11 @@
 //! mid-ramp: per-service availability, the longest outage, and whether
 //! the controller keeps (correctly) acting while under-provisioned.
 //!
-//! `chaos --smoke` runs the quick variant and exits non-zero when ATOM
-//! wedges (no scale action for more than [`MAX_IDLE_UNDERPROVISIONED`]
-//! consecutive under-provisioned windows), never acts at all, or the
-//! cluster fails to restore availability by the end of the run.
+//! `repro --smoke chaos` runs the quick variant and exits non-zero when
+//! ATOM wedges (no scale action for more than
+//! [`MAX_IDLE_UNDERPROVISIONED`] consecutive under-provisioned windows),
+//! never acts at all, or the cluster fails to restore availability by
+//! the end of the run.
 
 use atom_cluster::{ClusterOptions, FaultKind, FaultSchedule};
 use atom_core::ExperimentResult;
@@ -21,7 +22,7 @@ use atom_sockshop::{scenarios, SockShop, SVC_CARTS, SVC_FRONT_END};
 
 use crate::eval::{run_one_with_cluster, ScalerKind, STATELESS};
 use crate::output::{f, Table};
-use crate::HarnessOptions;
+use crate::{trace, HarnessOptions};
 
 /// Windows a controller may sit idle while under-provisioned before the
 /// smoke gate calls it wedged.
@@ -219,4 +220,62 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
         );
     }
     results
+}
+
+/// The `repro --smoke chaos` CI gate on the quick variant (6 × 120 s
+/// windows): ATOM must act at least once, never sit idle while
+/// under-provisioned for more than [`MAX_IDLE_UNDERPROVISIONED`]
+/// windows, and every controller must end the run with availability
+/// restored (≥ 0.99). Exits non-zero on failure.
+pub fn smoke(opts: &HarnessOptions) {
+    let results = run_matrix(opts, 6, 120.0);
+    trace::emit(opts, &results);
+    let atom = results
+        .iter()
+        .find(|r| r.scaler == "ATOM")
+        .expect("matrix includes ATOM");
+
+    let mut failures = Vec::new();
+    if atom.actions.is_empty() {
+        failures.push("ATOM issued no scale actions over the whole chaos run".to_string());
+    }
+    let idle = longest_idle_underprovisioned(atom);
+    if idle > MAX_IDLE_UNDERPROVISIONED {
+        failures.push(format!(
+            "ATOM wedged: {idle} consecutive under-provisioned windows without an action \
+             (allowed {})",
+            MAX_IDLE_UNDERPROVISIONED
+        ));
+    }
+    for r in &results {
+        let final_avail = final_window_availability(r);
+        if final_avail < 0.99 {
+            failures.push(format!(
+                "{}: availability not restored by the final window ({final_avail:.4})",
+                r.scaler
+            ));
+        }
+        let injected_failures: usize = r.reports.iter().map(|w| w.failed_actuations).sum();
+        atom_obs::progress!(
+            "smoke: {} actions={} failed_actuations={} final_avail={:.4}",
+            r.scaler,
+            r.actions.len(),
+            injected_failures,
+            final_avail
+        );
+    }
+
+    if failures.is_empty() {
+        atom_obs::info!(
+            "smoke OK: ATOM survived the schedule ({} actions, idle streak {} <= {})",
+            atom.actions.len(),
+            idle,
+            MAX_IDLE_UNDERPROVISIONED
+        );
+    } else {
+        for msg in &failures {
+            atom_obs::error!("smoke FAILED: {msg}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -15,8 +15,8 @@
 //! Reported per run: SLO-violation-seconds (`T_u` over the stateless
 //! services), under-provisioned area `A_u`, time-to-stable (end of the
 //! last under-provisioned window), mean TPS, and the forecaster's own
-//! accounting (windows forecast, fallbacks, clamps). `forecast --smoke`
-//! gates CI on the ramp: proactive must meet or beat reactive on
+//! accounting (windows forecast, fallbacks, clamps). `repro --smoke
+//! forecast` gates CI on the ramp: proactive must meet or beat reactive on
 //! SLO-violation-seconds, and both must finish without wedging.
 
 use atom_core::workload::{LoadProfile, WorkloadSpec};
@@ -24,8 +24,9 @@ use atom_core::ExperimentResult;
 use atom_sockshop::{scenarios, SockShop};
 
 use crate::eval::{run_one, ScalerKind, STATELESS};
+use crate::figures::chaos;
 use crate::output::{f, Table};
-use crate::HarnessOptions;
+use crate::{trace, HarnessOptions};
 
 /// Shortfall (cores) below which a window does not count as
 /// under-provisioned — same tolerance the chaos wedging check uses.
@@ -226,4 +227,79 @@ pub fn run(opts: &HarnessOptions) -> Vec<ExperimentResult> {
         }
     }
     all
+}
+
+/// The `repro --smoke forecast` CI gate on the quick ramp (6 × 120 s
+/// windows): proactive ATOM must meet or beat reactive ATOM on
+/// SLO-violation-seconds, both runs must finish every window without
+/// wedging (see [`chaos::MAX_IDLE_UNDERPROVISIONED`]), and proactive
+/// ATOM must journal at least one forecast record. Exits non-zero on
+/// failure.
+pub fn smoke(opts: &HarnessOptions) {
+    let (windows, window_secs) = (6usize, 120.0);
+    let ramp = scenarios_for(windows, window_secs)
+        .into_iter()
+        .find(|s| s.name == "ramp")
+        .expect("ramp scenario exists");
+    let results = run_pair(opts, &ramp, windows, window_secs);
+    trace::emit(opts, &results);
+    let [reactive, proactive] = &results;
+    assert_eq!(reactive.scaler, "ATOM");
+    assert_eq!(proactive.scaler, "ATOM-P");
+
+    let mut failures = Vec::new();
+    let (t_reactive, t_proactive) = (
+        slo_violation_seconds(reactive),
+        slo_violation_seconds(proactive),
+    );
+    if t_proactive > t_reactive {
+        failures.push(format!(
+            "proactive ATOM violated the SLO longer than reactive on the ramp \
+             ({t_proactive:.0} s > {t_reactive:.0} s)"
+        ));
+    }
+    for r in &results {
+        if r.reports.len() != windows {
+            failures.push(format!(
+                "{}: run ended after {}/{} windows",
+                r.scaler,
+                r.reports.len(),
+                windows
+            ));
+        }
+        let idle = chaos::longest_idle_underprovisioned(r);
+        if idle > chaos::MAX_IDLE_UNDERPROVISIONED {
+            failures.push(format!(
+                "{} wedged: {idle} consecutive under-provisioned windows without an action \
+                 (allowed {})",
+                r.scaler,
+                chaos::MAX_IDLE_UNDERPROVISIONED
+            ));
+        }
+        atom_obs::progress!(
+            "smoke: {} SLO-violation={:.0}s stable-at={:.0}s actions={}",
+            r.scaler,
+            slo_violation_seconds(r),
+            time_to_stable(r),
+            r.actions.len()
+        );
+    }
+    let tally = forecast_tally(proactive);
+    if tally.windows == 0 {
+        failures.push("proactive ATOM journaled no forecast records".to_string());
+    }
+
+    if failures.is_empty() {
+        atom_obs::info!(
+            "smoke OK: proactive {t_proactive:.0} s <= reactive {t_reactive:.0} s \
+             SLO-violation on the ramp ({} forecast windows, {} fallbacks)",
+            tally.windows,
+            tally.fallbacks
+        );
+    } else {
+        for msg in &failures {
+            atom_obs::error!("smoke FAILED: {msg}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -225,37 +225,31 @@ pub fn table4(runs: &[ValidationRun], opts: &HarnessOptions) {
         "paper model",
         "paper measured",
     ]);
-    let endpoints: [(&str, usize, &str); 10] = [
-        ("home", 0, "front-end/home"),
-        ("catalogue", 0, "front-end/catalogue"),
-        ("carts", 0, "front-end/carts"),
-        ("get", 1, "carts/get"),
-        ("add", 1, "carts/add"),
-        ("delete", 1, "carts/delete"),
-        ("list", 2, "catalogue/list"),
-        ("item", 2, "catalogue/item"),
-        ("cat-query", 3, "catalogue-db/query"),
-        ("cart-query", 4, "carts-db/query"),
-    ];
-    for (i, (entry_name, si, label)) in endpoints.iter().enumerate() {
-        let entry = run.lqn.entry_by_name(entry_name).expect("entry");
+    for (label, paper_model, paper_measured) in PAPER_TPS {
+        // The validation LQN is derived from the spec: entry
+        // `service.endpoint`, and task ids are service indices.
+        let entry = run
+            .lqn
+            .entry_by_name(&label.replace('/', "."))
+            .expect("entry");
         let model = run.model.entry_throughput(entry);
+        let task = run.lqn.entry(entry).task;
         // Within a service, endpoint order matches the LQN entry order.
         let local = run
             .lqn
-            .task(run.lqn.entry(entry).task)
+            .task(task)
             .entries
             .iter()
             .position(|&e| e == entry)
             .expect("entry in its task");
-        let measured = run.measured.endpoint_tps[*si][local];
+        let measured = run.measured.endpoint_tps[task.0][local];
         table.row(vec![
             label.to_string(),
             f(model, 1),
             f(measured, 1),
             f(pct_err(model, measured), 1),
-            f(PAPER_TPS[i].1, 1),
-            f(PAPER_TPS[i].2, 1),
+            f(paper_model, 1),
+            f(paper_measured, 1),
         ]);
     }
     table.print();
@@ -269,16 +263,7 @@ pub fn table4(runs: &[ValidationRun], opts: &HarnessOptions) {
         "paper model",
         "paper measured",
     ]);
-    for (i, (name, _, _)) in [
-        ("front-end", 0, ""),
-        ("carts", 1, ""),
-        ("catalogue", 2, ""),
-        ("catalogue-db", 3, ""),
-        ("carts-db", 4, ""),
-    ]
-    .iter()
-    .enumerate()
-    {
+    for (i, name) in SERVICES.iter().enumerate() {
         let task = run.lqn.task_by_name(name).expect("task");
         let model = 100.0 * run.model.task_utilization(task);
         let measured = 100.0 * run.measured.service_utilization[i];

@@ -296,52 +296,135 @@ impl AppSpec {
             .map(ServiceId)
     }
 
-    /// Validates the spec: at least one feature, ids in range, acyclic
-    /// call graph.
+    /// Validates the spec in time linear in its size: at least one
+    /// feature; every server, service and endpoint id in range; positive
+    /// core, thread, parallelism and replica counts; finite positive
+    /// speeds and shares; finite non-negative demands, cvs, latencies,
+    /// start-up delays and call means; and an acyclic call graph.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidSpec`] with the reason.
+    /// Returns [`ClusterError::InvalidSpec`] naming the offending server,
+    /// service, endpoint or feature.
     pub fn validate(&self) -> Result<(), ClusterError> {
+        let bad = |reason: String| Err(ClusterError::invalid_spec(reason));
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
         if self.features.is_empty() {
-            return Err(ClusterError::InvalidSpec {
-                reason: "no client-visible features".into(),
-            });
+            return bad("no client-visible features".into());
         }
-        // Cycle check over (service, endpoint) nodes.
-        let mut nodes = Vec::new();
-        for (si, s) in self.services.iter().enumerate() {
-            for ei in 0..s.endpoints.len() {
-                nodes.push((si, ei));
+        for srv in &self.servers {
+            if srv.cores == 0 || !positive(srv.speed) {
+                return bad(format!(
+                    "server `{}` needs cores > 0 and a finite speed > 0 (has {} cores, speed {})",
+                    srv.name, srv.cores, srv.speed
+                ));
             }
         }
-        let index = |si: usize, ei: usize| -> usize {
-            nodes.iter().position(|&(a, b)| a == si && b == ei).unwrap()
+        // A call or feature may name any (service, endpoint) pair.
+        let endpoint_exists = |service: ServiceId, endpoint: EndpointId| {
+            self.services
+                .get(service.0)
+                .is_some_and(|s| endpoint.0 < s.endpoints.len())
         };
-        let n = nodes.len();
-        let mut indeg = vec![0usize; n];
-        for &(si, ei) in &nodes {
-            for c in &self.services[si].endpoints[ei].calls {
-                indeg[index(c.service.0, c.endpoint.0)] += 1;
+        for svc in &self.services {
+            let name = &svc.name;
+            if svc.server.0 >= self.servers.len() {
+                return bad(format!(
+                    "service `{name}` runs on unknown server id {}",
+                    svc.server.0
+                ));
+            }
+            if svc.threads == 0 || svc.parallelism == Some(0) {
+                return bad(format!("service `{name}` needs at least one thread"));
+            }
+            if svc.initial_replicas == 0 || svc.max_replicas == 0 {
+                return bad(format!("service `{name}` needs at least one replica"));
+            }
+            if !positive(svc.initial_share) {
+                return bad(format!(
+                    "service `{name}` needs a finite CPU share > 0 (has {})",
+                    svc.initial_share
+                ));
+            }
+            if !non_negative(svc.startup_delay) {
+                return bad(format!(
+                    "service `{name}` has a negative or non-finite start-up delay"
+                ));
+            }
+            for ep in &svc.endpoints {
+                let at = || format!("service `{name}` endpoint `{}`", ep.name);
+                for (what, x) in [
+                    ("demand", ep.demand),
+                    ("demand cv", ep.demand_cv),
+                    ("latency", ep.latency),
+                ] {
+                    if !non_negative(x) {
+                        return bad(format!(
+                            "{} has a negative or non-finite {what} ({x})",
+                            at()
+                        ));
+                    }
+                }
+                for c in &ep.calls {
+                    if !endpoint_exists(c.service, c.endpoint) {
+                        return bad(format!(
+                            "{} calls unknown endpoint {} of service id {}",
+                            at(),
+                            c.endpoint.0,
+                            c.service.0
+                        ));
+                    }
+                    if !non_negative(c.mean) {
+                        return bad(format!(
+                            "{} has a negative or non-finite call mean ({})",
+                            at(),
+                            c.mean
+                        ));
+                    }
+                }
             }
         }
-        let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0;
+        for f in &self.features {
+            if !endpoint_exists(f.service, f.endpoint) {
+                return bad(format!(
+                    "feature `{}` enters unknown endpoint {} of service id {}",
+                    f.name, f.endpoint.0, f.service.0
+                ));
+            }
+        }
+        // Cycle check (Kahn) over (service, endpoint) nodes, numbered
+        // service by service.
+        let mut offset = Vec::with_capacity(self.services.len());
+        let mut nodes = Vec::new();
+        for svc in &self.services {
+            offset.push(nodes.len());
+            nodes.extend(svc.endpoints.iter().map(|ep| (svc, ep)));
+        }
+        let node = |c: &CallSpec| offset[c.service.0] + c.endpoint.0;
+        let mut indeg = vec![0usize; nodes.len()];
+        for (_, ep) in &nodes {
+            for c in &ep.calls {
+                indeg[node(c)] += 1;
+            }
+        }
+        let mut stack: Vec<usize> = (0..nodes.len()).filter(|&i| indeg[i] == 0).collect();
         while let Some(i) = stack.pop() {
-            seen += 1;
-            let (si, ei) = nodes[i];
-            for c in &self.services[si].endpoints[ei].calls {
-                let j = index(c.service.0, c.endpoint.0);
+            for c in &nodes[i].1.calls {
+                let j = node(c);
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     stack.push(j);
                 }
             }
         }
-        if seen != n {
-            return Err(ClusterError::InvalidSpec {
-                reason: "endpoint call graph contains a cycle".into(),
-            });
+        // Nodes left with callers are on a cycle or downstream of one.
+        if let Some(i) = indeg.iter().position(|&d| d > 0) {
+            let (svc, ep) = nodes[i];
+            return bad(format!(
+                "endpoint call graph contains a cycle reaching service `{}` endpoint `{}`",
+                svc.name, ep.name
+            ));
         }
         Ok(())
     }
@@ -422,13 +505,118 @@ mod tests {
         assert!(spec.validate().is_err());
     }
 
+    fn rejection(spec: &AppSpec) -> String {
+        match spec.validate() {
+            Err(ClusterError::InvalidSpec { reason }) => reason,
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rejects_cycles() {
         let mut spec = two_tier();
         let web = spec.service_by_name("web").unwrap();
         let db = spec.service_by_name("db").unwrap();
         spec.add_call(db, EndpointId(0), web, EndpointId(0), 1.0);
-        assert!(spec.validate().is_err());
+        let reason = rejection(&spec);
+        assert!(reason.contains("cycle"), "{reason}");
+        assert!(reason.contains("service `web` endpoint `page`"), "{reason}");
+    }
+
+    #[test]
+    fn rejects_calls_to_unknown_ids() {
+        for (service, endpoint) in [(9, 0), (1, 5)] {
+            let mut spec = two_tier();
+            spec.services[0].endpoints[0].calls[0].service = ServiceId(service);
+            spec.services[0].endpoints[0].calls[0].endpoint = EndpointId(endpoint);
+            let reason = rejection(&spec);
+            assert!(
+                reason.contains("service `web` endpoint `page` calls unknown endpoint"),
+                "{reason}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_zero_counts_naming_the_owner() {
+        type Mutation = fn(&mut AppSpec);
+        let cases: [(Mutation, &str); 6] = [
+            (|s| s.servers[0].cores = 0, "server `node`"),
+            (
+                |s| s.services[0].threads = 0,
+                "service `web` needs at least one thread",
+            ),
+            (
+                |s| s.services[1].parallelism = Some(0),
+                "service `db` needs at least one thread",
+            ),
+            (
+                |s| s.services[0].initial_replicas = 0,
+                "service `web` needs at least one replica",
+            ),
+            (
+                |s| s.services[1].max_replicas = 0,
+                "service `db` needs at least one replica",
+            ),
+            (
+                |s| s.services[1].server = ServerId(3),
+                "service `db` runs on unknown server id 3",
+            ),
+        ];
+        for (mutate, needle) in cases {
+            let mut spec = two_tier();
+            mutate(&mut spec);
+            let reason = rejection(&spec);
+            assert!(reason.contains(needle), "{reason} lacks {needle}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_positive_or_non_finite_speeds_and_shares() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut spec = two_tier();
+            spec.servers[0].speed = bad;
+            assert!(rejection(&spec).contains("server `node`"));
+            let mut spec = two_tier();
+            spec.services[0].initial_share = bad;
+            assert!(rejection(&spec).contains("service `web` needs a finite CPU share"));
+        }
+    }
+
+    #[test]
+    fn rejects_negative_or_non_finite_endpoint_parameters() {
+        type Setter = fn(&mut AppSpec, f64);
+        let fields: [(Setter, &str); 5] = [
+            (|s, x| s.services[1].endpoints[0].demand = x, "demand"),
+            (|s, x| s.services[1].endpoints[0].demand_cv = x, "demand cv"),
+            (|s, x| s.services[1].endpoints[0].latency = x, "latency"),
+            (
+                |s, x| s.services[0].endpoints[0].calls[0].mean = x,
+                "call mean",
+            ),
+            (|s, x| s.services[1].startup_delay = x, "start-up delay"),
+        ];
+        for (set, what) in fields {
+            for bad in [-0.5, f64::NAN, f64::INFINITY] {
+                let mut spec = two_tier();
+                set(&mut spec, bad);
+                let reason = rejection(&spec);
+                assert!(reason.contains(what), "{reason} lacks {what}");
+                assert!(reason.contains("service `"), "{reason} names no service");
+            }
+        }
+        // Zero is a legal demand, latency and call mean.
+        let mut spec = two_tier();
+        spec.services[1].endpoints[0].demand = 0.0;
+        spec.services[0].endpoints[0].calls[0].mean = 0.0;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn rejects_features_entering_unknown_endpoints() {
+        let mut spec = two_tier();
+        spec.features[0].endpoint = EndpointId(4);
+        assert!(rejection(&spec).contains("feature `page`"));
     }
 
     #[test]

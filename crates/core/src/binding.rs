@@ -2,8 +2,8 @@
 //! microservices (paper §IV-A, "a map between the LQN model and the
 //! microservices").
 
-use atom_cluster::{AppSpec, ServiceId};
-use atom_lqn::{EntryId, LqnModel, TaskId};
+use atom_cluster::{AppSpec, ClusterError, ServiceId};
+use atom_lqn::{EntryId, LqnError, LqnModel, TaskId};
 
 /// Scaling surface of one microservice.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,18 +54,29 @@ impl ModelBinding {
     /// deployment replica bound with shares in `[0.05, 1.0]` (one core —
     /// beyond that, horizontal scaling is the usable axis).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the spec fails validation or `mix` length differs from
-    /// the feature count (programming errors in the scenario).
+    /// Returns [`ClusterError::InvalidSpec`] if the spec fails
+    /// [`AppSpec::validate`], and [`ClusterError::InvalidParameter`] if
+    /// `mix` length differs from the feature count or the population,
+    /// think time or mix cannot parameterise the model.
     pub fn from_app_spec(
         spec: &AppSpec,
         population: usize,
         think_time: f64,
         mix: &[f64],
-    ) -> ModelBinding {
-        spec.validate().expect("app spec must be valid");
-        assert_eq!(mix.len(), spec.features.len(), "mix/feature mismatch");
+    ) -> Result<ModelBinding, ClusterError> {
+        spec.validate()?;
+        if mix.len() != spec.features.len() {
+            return Err(ClusterError::invalid_parameter(format!(
+                "request mix has {} fractions for {} features",
+                mix.len(),
+                spec.features.len()
+            )));
+        }
+        // A validated spec maps onto a valid model; only the workload
+        // parameters can still be rejected here.
+        let invalid = |e: LqnError| ClusterError::invalid_parameter(e.to_string());
         let mut model = LqnModel::new();
         let processors: Vec<_> = spec
             .servers
@@ -82,13 +93,13 @@ impl ModelBinding {
                     svc.threads,
                     svc.initial_replicas,
                 )
-                .expect("valid task");
+                .map_err(invalid)?;
             model
                 .set_cpu_share(task, Some(svc.initial_share))
-                .expect("valid share");
+                .map_err(invalid)?;
             model
                 .set_parallelism(task, svc.parallelism)
-                .expect("valid parallelism");
+                .map_err(invalid)?;
             let mut ids = Vec::new();
             for ep in &svc.endpoints {
                 // Entry names are namespaced by service: LQN entry names
@@ -96,8 +107,8 @@ impl ModelBinding {
                 // may repeat across services.
                 let e = model
                     .add_entry(format!("{}.{}", svc.name, ep.name), task, ep.demand)
-                    .expect("valid entry");
-                model.set_latency(e, ep.latency).expect("valid latency");
+                    .map_err(invalid)?;
+                model.set_latency(e, ep.latency).map_err(invalid)?;
                 ids.push(e);
             }
             tasks.push(task);
@@ -112,18 +123,18 @@ impl ModelBinding {
                             entry_ids[call.service.0][call.endpoint.0],
                             call.mean,
                         )
-                        .expect("valid call");
+                        .map_err(invalid)?;
                 }
             }
         }
         let client = model
             .add_reference_task("clients", population, think_time)
-            .expect("valid reference task");
-        let ce = model.reference_entry(client).expect("reference entry");
+            .map_err(invalid)?;
+        let ce = model.reference_entry(client).map_err(invalid)?;
         let mut feature_entries = Vec::new();
         for (feature, &frac) in spec.features.iter().zip(mix) {
             let entry = entry_ids[feature.service.0][feature.endpoint.0];
-            model.add_call(ce, entry, frac).expect("valid feature call");
+            model.add_call(ce, entry, frac).map_err(invalid)?;
             feature_entries.push(entry);
         }
         let services = spec
@@ -134,7 +145,7 @@ impl ModelBinding {
                 let (max_replicas, share_bounds) = if svc.stateful {
                     (1, (0.05, 4.0))
                 } else {
-                    (svc.max_replicas.max(1), (0.05, 1.0))
+                    (svc.max_replicas, (0.05, 1.0))
                 };
                 ServiceBinding {
                     name: svc.name.clone(),
@@ -153,7 +164,7 @@ impl ModelBinding {
             feature_entries,
         };
         binding.assert_consistent();
-        binding
+        Ok(binding)
     }
 
     /// Prices the deployment's placement into the model: every
@@ -302,6 +313,37 @@ mod tests {
         b.assert_consistent();
     }
 
+    fn one_service_spec() -> AppSpec {
+        let mut spec = AppSpec::new();
+        let node = spec.add_server("node", 2, 1.0);
+        let svc = spec.add_service("svc", node, 4, 1, 1.0);
+        let op = spec.add_endpoint(svc, "op", 0.01, 1.0);
+        spec.add_feature("op", svc, op);
+        spec
+    }
+
+    #[test]
+    fn from_app_spec_rejects_bad_specs_and_workloads() {
+        let mut spec = one_service_spec();
+        spec.services[0].threads = 0;
+        assert!(matches!(
+            ModelBinding::from_app_spec(&spec, 10, 1.0, &[1.0]),
+            Err(ClusterError::InvalidSpec { .. })
+        ));
+        let spec = one_service_spec();
+        for (mix, think) in [
+            (&[0.5, 0.5][..], 1.0),
+            (&[1.0][..], -1.0),
+            (&[f64::NAN][..], 1.0),
+        ] {
+            assert!(matches!(
+                ModelBinding::from_app_spec(&spec, 10, think, mix),
+                Err(ClusterError::InvalidParameter { .. })
+            ));
+        }
+        assert!(ModelBinding::from_app_spec(&spec, 10, 1.0, &[1.0]).is_ok());
+    }
+
     #[test]
     fn apply_network_prices_cross_server_calls_only() {
         let mut spec = AppSpec::new();
@@ -317,7 +359,7 @@ mod tests {
         spec.add_call(web, page, cache, get, 1.0);
         spec.add_feature("page", web, page);
 
-        let mut binding = ModelBinding::from_app_spec(&spec, 10, 1.0, &[1.0]);
+        let mut binding = ModelBinding::from_app_spec(&spec, 10, 1.0, &[1.0]).unwrap();
         // Servers a and b in different racks: 0.5 ms rack uplinks, 1 ms
         // aggregation, bandwidth high enough that payloads are free.
         let topo = atom_net::TopologySpec::two_tier(

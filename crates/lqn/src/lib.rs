@@ -12,9 +12,6 @@
 //!   LQNS with the Bard–Schweitzer single-step MVA option used by the
 //!   paper (§IV-C); this is what ATOM's genetic algorithm evaluates
 //!   hundreds of times per control period;
-//! * [`sim`] — a discrete-event LQN simulator (the LQSIM stand-in) used to
-//!   validate the analytic solver and to produce the paper's
-//!   "measurement" column in Tables III/IV;
 //! * [`scaling`] — the model transforms of Algorithm 1
 //!   (`updateReplication`, `updateCalls`, `updateHostDemand`) expressed as
 //!   a single [`scaling::ScalingConfig`] application.
@@ -57,7 +54,6 @@ pub mod error;
 pub mod format;
 pub mod model;
 pub mod scaling;
-pub mod sim;
 pub mod solution;
 
 pub use error::LqnError;

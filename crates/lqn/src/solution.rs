@@ -1,4 +1,4 @@
-//! Solver output shared by the analytic solver and the simulator.
+//! Output of the analytic layered solver.
 
 use serde::{Deserialize, Serialize};
 
@@ -6,9 +6,9 @@ use crate::model::{EntryId, ProcessorId, TaskId};
 
 /// Performance metrics of a solved LQN.
 ///
-/// Produced both by [`crate::analytic::solve`] and
-/// [`crate::sim::simulate`], so that model-vs-measurement comparisons
-/// (paper Tables III/IV) are a diff of two values of the same type.
+/// Produced by [`crate::analytic::solve`]. The paper's "measurement"
+/// side (Tables III/IV) comes from the cluster discrete-event simulator
+/// (`atom-cluster`) running the same application.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LqnSolution {
     /// Per-entry throughput (invocations per second), indexed by entry id.

@@ -1,11 +1,14 @@
 #![warn(missing_docs)]
 
-//! Discrete-event simulation engine shared by the LQN simulator
-//! (`atom-lqn`) and the container-cluster testbed (`atom-cluster`).
+//! Discrete-event simulation engine of the container-cluster testbed
+//! (`atom-cluster`), the one simulator the analytic LQN is validated
+//! against.
 //!
 //! The engine is deliberately small and allocation-light:
 //!
-//! * [`calendar::EventQueue`] — a stable (FIFO-on-ties) event calendar;
+//! * [`calendar::EventQueue`] — a stable (FIFO-on-ties) binary-heap
+//!   event calendar, kept as the reference the timer wheel is tested
+//!   against;
 //! * [`wheel::TimerWheel`] — a hierarchical timer-wheel calendar with the
 //!   same (time, insertion) pop order but O(1) amortised operations, for
 //!   simulations carrying very large pending-event populations;

@@ -420,7 +420,16 @@ impl SockShop {
         self.validation_lqn_with(users, think_time, mix, false)
     }
 
-    /// The validation LQN; `single_host` collapses both servers into one.
+    /// The validation LQN, derived from
+    /// [`SockShop::validation_app_spec`] by
+    /// [`ModelBinding::from_app_spec`]; `single_host` collapses both
+    /// servers into one. Entry names are namespaced by service
+    /// (`"front-end.home"`, `"catalogue-db.query"`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mix` is not `[home, catalogue, carts]` fractions or the
+    /// population/think time cannot parameterise the model.
     pub fn validation_lqn_with(
         &self,
         users: usize,
@@ -428,60 +437,14 @@ impl SockShop {
         mix: &[f64],
         single_host: bool,
     ) -> LqnModel {
-        assert_eq!(mix.len(), 3, "mix must be [home, catalogue, carts]");
-        let mut m = LqnModel::new();
-        let p1 = m.add_processor("server-1", 1, 1.2);
-        let p2 = if single_host {
-            p1
-        } else {
-            m.add_processor("server-2", 1, 0.8)
-        };
-        let fe = m.add_task("front-end", p1, 1024, 1).unwrap();
-        m.set_parallelism(fe, Some(1)).unwrap();
-        let carts = m.add_task("carts", p1, 64, 1).unwrap();
-        let catalogue = m.add_task("catalogue", p2, 64, 1).unwrap();
-        let catalogue_db = m.add_task("catalogue-db", p2, 32, 1).unwrap();
-        let carts_db = m.add_task("carts-db", p2, 32, 1).unwrap();
-
-        let f_home = m.add_entry("home", fe, self.d_home).unwrap();
-        let f_cat = m.add_entry("catalogue", fe, self.d_catalogue).unwrap();
-        let f_cart = m.add_entry("carts", fe, self.d_carts).unwrap();
-        m.set_latency(f_home, self.l_home).unwrap();
-        m.set_latency(f_cat, self.l_catalogue).unwrap();
-        m.set_latency(f_cart, self.l_carts).unwrap();
-        let c_list = m
-            .add_entry("list", catalogue, self.d_catalogue_svc)
-            .unwrap();
-        let c_item = m
-            .add_entry("item", catalogue, self.d_catalogue_svc)
-            .unwrap();
-        let k_get = m.add_entry("get", carts, self.d_carts_svc).unwrap();
-        let k_add = m.add_entry("add", carts, self.d_carts_svc).unwrap();
-        let k_del = m.add_entry("delete", carts, self.d_carts_svc).unwrap();
-        let cdb_q = m
-            .add_entry("cat-query", catalogue_db, self.d_catalogue_db)
-            .unwrap();
-        let kdb_q = m
-            .add_entry("cart-query", carts_db, self.d_carts_db)
-            .unwrap();
-
-        m.add_call(f_cat, c_list, 0.5).unwrap();
-        m.add_call(f_cat, c_item, 0.5).unwrap();
-        m.add_call(f_cart, k_get, 1.0 / 3.0).unwrap();
-        m.add_call(f_cart, k_add, 1.0 / 3.0).unwrap();
-        m.add_call(f_cart, k_del, 1.0 / 3.0).unwrap();
-        m.add_call(c_list, cdb_q, 1.0).unwrap();
-        m.add_call(c_item, cdb_q, 1.0).unwrap();
-        m.add_call(k_get, kdb_q, 1.0).unwrap();
-        m.add_call(k_add, kdb_q, 1.0).unwrap();
-        m.add_call(k_del, kdb_q, 1.0).unwrap();
-
-        let client = m.add_reference_task("users", users, think_time).unwrap();
-        let ce = m.reference_entry(client).unwrap();
-        m.add_call(ce, f_home, mix[0]).unwrap();
-        m.add_call(ce, f_cat, mix[1]).unwrap();
-        m.add_call(ce, f_cart, mix[2]).unwrap();
-        m
+        ModelBinding::from_app_spec(
+            &self.validation_app_spec(single_host),
+            users,
+            think_time,
+            mix,
+        )
+        .expect("the validation spec is valid; mix must be [home, catalogue, carts]")
+        .model
     }
 }
 
@@ -673,7 +636,7 @@ mod derived_binding_tests {
         let shop = SockShop::default();
         let mix = [0.33, 0.17, 0.50];
         let hand = shop.binding(2000, 7.0, &mix);
-        let derived = ModelBinding::from_app_spec(&shop.app_spec(), 2000, 7.0, &mix);
+        let derived = ModelBinding::from_app_spec(&shop.app_spec(), 2000, 7.0, &mix).unwrap();
         let a = solve(&hand.model, SolverOptions::default()).unwrap();
         let b = solve(&derived.model, SolverOptions::default()).unwrap();
         let rel = (a.client_throughput - b.client_throughput).abs() / a.client_throughput;

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The knowledge base is derived straight from the topology.
-    let binding = ModelBinding::from_app_spec(&app, 200, 5.0, workload.mix.fractions());
+    let binding = ModelBinding::from_app_spec(&app, 200, 5.0, workload.mix.fractions())?;
     let mut objective = ObjectiveSpec::balanced(2);
     objective.feature_weights = vec![1.0, 10.0]; // bookings are revenue
     objective.server_capacity = vec![(0, 4.0), (1, 4.0)];

@@ -5,6 +5,7 @@
 //! Run with `cargo run --release --example model_validation`.
 
 use atom::cluster::{Cluster, ClusterOptions};
+use atom::core::ModelBinding;
 use atom::lqn::analytic::{solve, SolverOptions};
 use atom::sockshop::SockShop;
 use atom::workload::{RequestMix, WorkloadSpec};
@@ -15,12 +16,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let think = 7.0;
     let mix = [0.57, 0.29, 0.14]; // Table II workload pattern 1
 
-    // Model: the analytic LQN solve.
-    let model = shop.validation_lqn(users, think, &mix);
-    let analytic = solve(&model, SolverOptions::default())?;
-
-    // Measurement: the simulated testbed.
+    // One description of the system, two views of it.
     let spec = shop.validation_app_spec(false);
+
+    // Model: the LQN derived from the spec, solved analytically.
+    let binding = ModelBinding::from_app_spec(&spec, users, think, &mix)?;
+    let analytic = solve(&binding.model, SolverOptions::default())?;
+
+    // Measurement: the same spec on the simulated testbed.
     let workload = WorkloadSpec::constant(RequestMix::new(mix.to_vec())?, users, think);
     let mut cluster = Cluster::new(&spec, workload, ClusterOptions::default())?;
     cluster.run_window(300.0); // warm-up
@@ -37,38 +40,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     row("total TPS", analytic.total_throughput(), measured.total_tps);
-    for (f, name) in ["home", "catalogue", "carts"].iter().enumerate() {
-        let entry = model.entry_by_name(name).expect("feature entry");
+    for (f, feature) in spec.features.iter().enumerate() {
         row(
-            &format!("TPS {name}"),
-            analytic.entry_throughput(entry),
+            &format!("TPS {}", feature.name),
+            analytic.entry_throughput(binding.feature_entries[f]),
             measured.feature_tps[f],
         );
     }
-    for (si, name) in [
-        "front-end",
-        "carts",
-        "catalogue",
-        "catalogue-db",
-        "carts-db",
-    ]
-    .iter()
-    .enumerate()
-    {
-        let task = model.task_by_name(name).expect("task");
+    for (si, svc) in binding.services.iter().enumerate() {
         row(
-            &format!("util% {name}"),
-            100.0 * analytic.task_utilization(task),
-            100.0
-                * measured.service_utilization[match *name {
-                    "front-end" => 0,
-                    "carts" => 1,
-                    "catalogue" => 2,
-                    "catalogue-db" => 3,
-                    _ => 4,
-                }],
+            &format!("util% {}", svc.name),
+            100.0 * analytic.task_utilization(svc.task),
+            100.0 * measured.service_utilization[si],
         );
-        let _ = si;
     }
     Ok(())
 }

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
 
-use atom::cluster::{AppSpec, ClusterOptions};
+use atom::cluster::{AppSpec, ClusterError, ClusterOptions};
 use atom::core::autoscaler::NoopScaler;
 use atom::core::baselines::RuleConfig;
 use atom::core::{
@@ -80,7 +80,7 @@ fn example_scenario() -> Scenario {
     }
 }
 
-fn binding_for(scenario: &Scenario) -> ModelBinding {
+fn binding_for(scenario: &Scenario) -> Result<ModelBinding, ClusterError> {
     ModelBinding::from_app_spec(
         &scenario.app,
         scenario.workload.source.population_at(0.0),
@@ -103,7 +103,7 @@ fn run_scenario_result(
     let mut noop;
     let scaler: &mut dyn Autoscaler = match scenario.scaler.as_str() {
         "atom" => {
-            let binding = binding_for(scenario);
+            let binding = binding_for(scenario)?;
             let mut objective = ObjectiveSpec::balanced(scenario.app.features.len());
             objective.server_capacity = scenario
                 .app
@@ -323,7 +323,7 @@ fn main() -> ExitCode {
         })(),
         Some("export-lqn") if args.len() == 2 => (|| {
             let scenario: Scenario = serde_json::from_str(&fs::read_to_string(&args[1])?)?;
-            print!("{}", to_lqn_text(&binding_for(&scenario).model));
+            print!("{}", to_lqn_text(&binding_for(&scenario)?.model));
             Ok(())
         })(),
         Some("solve") if args.len() == 2 => solve_lqn_file(&args[1]),
@@ -389,14 +389,14 @@ mod tests {
     #[test]
     fn derived_binding_covers_all_services() {
         let scenario = example_scenario();
-        let binding = binding_for(&scenario);
+        let binding = binding_for(&scenario).unwrap();
         assert_eq!(binding.services.len(), scenario.app.services.len());
     }
 
     #[test]
     fn exported_lqn_parses_and_solves() {
         let scenario = example_scenario();
-        let text = to_lqn_text(&binding_for(&scenario).model);
+        let text = to_lqn_text(&binding_for(&scenario).unwrap().model);
         let model = from_lqn_text(&text).unwrap();
         let sol = solve(&model, SolverOptions::default()).unwrap();
         assert!(sol.total_throughput() > 0.0);

@@ -7,10 +7,12 @@
 //! crate; this crate is the single dependency a downstream user needs.
 //!
 //! * [`mva`] — closed queueing-network solvers (exact MVA, Bard–Schweitzer).
-//! * [`sim`] — discrete-event simulation engine.
-//! * [`lqn`] — layered queueing networks: model, analytic solver, simulator.
+//! * [`sim`] — discrete-event primitives of the cluster simulator (timer
+//!   wheel, processor-sharing CPUs, RNG, statistics).
+//! * [`lqn`] — layered queueing networks: model, analytic solver, text format.
 //! * [`workload`] — closed workloads, request mixes, burstiness injection.
-//! * [`cluster`] — the simulated container cluster "testbed".
+//! * [`cluster`] — the simulated container cluster "testbed", the one
+//!   discrete-event simulator the analytic LQN is validated against.
 //! * [`faults`] — deterministic fault-injection schedules (crashes,
 //!   outages, monitor dropouts, actuation failures, slow starts).
 //! * [`estimation`] — service-demand estimation (utilisation law vs
